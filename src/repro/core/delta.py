@@ -339,18 +339,14 @@ def ensure_state(plan: DASPMatrix) -> DeltaState:
 def clone_for_patch(plan):
     """Shallow-copy *plan* so in-place value patches cannot corrupt the
     original: value slabs and ``csr.data`` are copied, structure arrays
-    and the scatter map are shared.  The registry uses this so in-flight
-    requests drain against the pre-update version."""
-    from ..formats.csr import CSRMatrix
-
+    (with the CSR's structure memo) and the scatter map are shared.  The
+    registry uses this so in-flight requests drain against the
+    pre-update version."""
+    csr = plan.csr.with_data(plan.csr.data.copy())
     if hasattr(plan, "shards"):            # ShardedPlan duck-type
         shards = [replace(s, dasp=clone_for_patch(s.dasp))
                   for s in plan.shards]
-        csr = CSRMatrix(plan.csr.shape, plan.csr.indptr, plan.csr.indices,
-                        plan.csr.data.copy())
         return replace(plan, csr=csr, shards=shards)
-    csr = CSRMatrix(plan.csr.shape, plan.csr.indptr, plan.csr.indices,
-                    plan.csr.data.copy())
     st = plan.delta
     new_st = None
     if st is not None:
@@ -647,9 +643,7 @@ def apply_delta_to_csr(csr, delta):
     if isinstance(delta, ValueUpdate):
         if delta.n_entries == 0:
             return csr
-        from ..formats.csr import CSRMatrix
-
-        out = CSRMatrix(csr.shape, csr.indptr, csr.indices, csr.data.copy())
+        out = csr.with_data(csr.data.copy())
         k = delta.rows * np.int64(csr.shape[1]) + delta.cols
         sel = _dedupe_last(k)
         _patch_csr_values(out, k[sel], delta.vals[sel])

@@ -7,7 +7,7 @@ bookkeeping and the packing parameters.  Built from CSR via
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -52,6 +52,13 @@ class DASPMatrix:
     #: never serialized (``array_inventory`` walks only the three
     #: category plans) and ``None`` for a freshly built plan.
     delta: object = None
+    #: ``DeviceSpec -> KernelEvents`` filled lazily by
+    #: :meth:`repro.core.method.DASPMethod.events`.  Events depend only
+    #: on structure, so in-place value patches keep it valid; every
+    #: ``dataclasses.replace`` (value clone, structural patch) and every
+    #: load starts a new, empty memo.
+    _events: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
 
     # ------------------------------------------------------------------
     @classmethod
@@ -83,6 +90,13 @@ class DASPMatrix:
         """Real nonzeros (excludes padding)."""
         return (self.long_plan.orig_nnz + self.medium_plan.orig_nnz
                 + self.short_plan.orig_nnz)
+
+    @property
+    def mma_blocks(self) -> int:
+        """MMA instructions one SpMV issues — device-independent, the
+        ``mma_count`` of :meth:`repro.core.method.DASPMethod.events`."""
+        return (self.long_plan.n_blocks + self.medium_plan.n_blocks
+                + self.short_plan.n_mma)
 
     @property
     def stored_elements(self) -> int:

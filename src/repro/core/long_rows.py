@@ -67,6 +67,11 @@ class LongRowsPlan:
         return int(self.group_ptr[-1]) if self.group_ptr.size else 0
 
     @property
+    def n_blocks(self) -> int:
+        """MMA blocks (one instruction each) over all groups."""
+        return self.n_groups * BLOCKS_PER_GROUP
+
+    @property
     def padded_nnz(self) -> int:
         return int(self.val.size)
 
@@ -140,7 +145,7 @@ def long_rows_events(plan: LongRowsPlan, device, *, x_bytes: float) -> KernelEve
     vb = s.in_dtype.itemsize
     ab = s.acc_dtype.itemsize
     n_groups = plan.n_groups
-    n_blocks = n_groups * BLOCKS_PER_GROUP
+    n_blocks = plan.n_blocks
     # Kernel 1: stream val/cid, gather x, mma, 5 shuffles, write warpVal.
     # Kernel 2: warp per row reads that row's warpVal entries, butterfly
     # reduction (5 shuffles), writes y.

@@ -4,9 +4,11 @@ so it can be measured alongside the five baselines.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
-from ..gpu.device import DeviceSpec
+from ..gpu.device import DeviceSpec, get_device
 from ..gpu.events import KernelEvents, PreprocessEvents
 from ..gpu.kernel import SpMVMethod
 from ..gpu.memory import x_traffic_bytes
@@ -40,6 +42,21 @@ class DASPMethod(SpMVMethod):
         return dasp_spmv(plan, x)
 
     def events(self, plan: DASPMatrix, device: DeviceSpec) -> KernelEvents:
+        """Device events of one SpMV on *plan*.
+
+        Computed once per plan and device (the plan's ``_events`` memo);
+        each call returns a fresh copy, since :class:`KernelEvents` is
+        mutable and callers rescale it.
+        """
+        device = get_device(device)
+        ev = plan._events.get(device)
+        if ev is None:
+            ev = plan._events.setdefault(device,
+                                       self._build_events(plan, device))
+        return replace(ev)
+
+    def _build_events(self, plan: DASPMatrix,
+                      device: DeviceSpec) -> KernelEvents:
         vb = plan.dtype.itemsize
         # DASP's kernels bypass the L1/L2 for the streamed matrix data
         # (Section 3.3's "bypass cache method"), reserving cache for x.

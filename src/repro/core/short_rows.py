@@ -88,6 +88,13 @@ class ShortRowsPlan:
     def blocks4(self) -> int:
         return self.val4.size // (self.shape.a_elements)
 
+    @property
+    def n_mma(self) -> int:
+        """MMA instructions the short-rows kernels issue: two per 1&3 and
+        per 2&2 block (x is loaded once per pieced row), one per
+        length-4 block."""
+        return 2 * self.blocks13 + 2 * self.blocks22 + self.blocks4
+
 
 #: Payload slabs holding matrix *values* — patched in place by
 #: ``repro.core.delta.apply_value_update``.
@@ -244,7 +251,7 @@ def short_rows_events(plan: ShortRowsPlan, device, *, x_bytes: float) -> KernelE
     s = plan.shape
     vb = s.in_dtype.itemsize
     ab = s.acc_dtype.itemsize
-    mma = 2 * plan.blocks13 + 2 * plan.blocks22 + plan.blocks4
+    mma = plan.n_mma
     # The four subcategory kernels are launched on concurrent CUDA
     # streams; their fixed overhead overlaps, so one launch is charged.
     launches = 1

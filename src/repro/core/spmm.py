@@ -295,13 +295,9 @@ def mma_utilization(dasp: DASPMatrix, k: int) -> float:
     unit.
     """
     s = dasp.mma_shape
-    from .method import DASPMethod
-
-    ev = DASPMethod().events(dasp, "A100")
-    if ev.mma_count == 0:
+    if dasp.mma_blocks == 0:
         return 0.0
-    mma_blocks = ev.mma_count * (-(-k // s.n))
-    issued = mma_blocks * s.flops
+    issued = dasp.mma_blocks * (-(-k // s.n)) * s.flops
     # useful flops: 2 per (real nonzero consumed by MMA) per rhs
     mma_nnz = dasp.nnz - dasp.medium_plan.irreg_nnz - dasp.short_plan.rows1.size
     useful = 2.0 * mma_nnz * k

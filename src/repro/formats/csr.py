@@ -8,7 +8,7 @@ described in the paper (Section 2.1): ``RowPtr`` / ``ColIdx`` / ``Val``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,6 +42,13 @@ class CSRMatrix:
     indptr: np.ndarray
     indices: np.ndarray
     data: np.ndarray
+    #: Quantities that depend only on ``indptr`` / ``indices`` (the cost
+    #: model's sector counts), filled lazily by their consumers and
+    #: shared with every CSR :meth:`with_data` derives from this one.
+    #: The index arrays must not be mutated in place once it holds an
+    #: entry.
+    structure_memo: dict = field(default_factory=dict, init=False,
+                                 repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.shape = validate_shape(self.shape)
@@ -127,10 +134,21 @@ class CSRMatrix:
     # ------------------------------------------------------------------
     # Transformations
     # ------------------------------------------------------------------
+    def with_data(self, data) -> "CSRMatrix":
+        """The same structure with new values (one per stored entry).
+
+        Shares the index arrays and :attr:`structure_memo`, so
+        structure-only quantities are not recomputed for a value-only
+        copy (e.g. a value-patched plan version).
+        """
+        out = CSRMatrix(self.shape, self.indptr, self.indices, data)
+        out.structure_memo = self.structure_memo
+        return out
+
     def sort_indices(self) -> "CSRMatrix":
         """Return a copy with ascending column indices in every row."""
         if self.has_sorted_indices():
-            return CSRMatrix(self.shape, self.indptr, self.indices, self.data)
+            return self.with_data(self.data)
         rows = np.repeat(
             np.arange(self.shape[0], dtype=np.int64), self.row_lengths()
         )
@@ -139,7 +157,7 @@ class CSRMatrix:
 
     def astype(self, dtype) -> "CSRMatrix":
         """Return a copy with values cast to *dtype*."""
-        return CSRMatrix(self.shape, self.indptr, self.indices, self.data.astype(dtype))
+        return self.with_data(self.data.astype(dtype))
 
     def permute_rows(self, perm: np.ndarray) -> "CSRMatrix":
         """Return the matrix with rows reordered so row ``i`` of the result

@@ -11,7 +11,8 @@ paper).  GPUs fetch DRAM in 32-byte sectors, so the cost of gathering
 
 ``x_traffic_bytes`` turns both effects into an estimated DRAM byte count,
 computed *exactly* from the matrix structure (per-row distinct sectors and
-global distinct sectors) plus a capacity-miss factor.
+global distinct sectors) plus a capacity-miss factor.  The sector counts
+are a linear pass, run once per CSR structure.
 """
 
 from __future__ import annotations
@@ -36,16 +37,61 @@ def sector_counts(csr, value_bytes: int) -> tuple[int, int]:
     A "sector" is a 32-byte aligned span of ``x``; ``value_bytes`` is the
     size of one x element, so a sector holds ``32 // value_bytes``
     consecutive elements.
+
+    One O(nnz) pass: with sectors ascending inside each row, a row's
+    distinct sectors are its first entry plus every within-row sector
+    change, and a boolean mark over ``max_sector + 1`` counts the global
+    ones.  Column indices need not be sorted (``CSRMatrix.validate``
+    does not require it): a row whose sectors descend anywhere sends
+    the whole pass through one ``(row, sector)`` key sort first.
     """
     elems_per_sector = max(1, SECTOR_BYTES // value_bytes)
     if csr.nnz == 0:
         return 0, 0
-    sectors = csr.indices.astype(np.int64) // elems_per_sector
-    rows = np.repeat(np.arange(csr.shape[0], dtype=np.int64), csr.row_lengths())
-    keys = rows * (int(sectors.max()) + 2) + sectors
-    uniq_per_row = np.unique(keys).size
-    uniq_global = np.unique(sectors).size
-    return int(uniq_per_row), int(uniq_global)
+    sectors = csr.indices // elems_per_sector
+    indptr = csr.indptr
+    starts = indptr[:-1][indptr[:-1] < indptr[1:]]   # nonempty rows
+    within = _within_row_steps(sectors, starts)
+    if within.min() < 0:
+        rows = np.repeat(np.arange(csr.shape[0], dtype=np.int64),
+                         csr.row_lengths())
+        span = rows * (int(sectors.max()) + 1)
+        keys = span + sectors
+        keys.sort()
+        sectors = keys - span
+        within = _within_row_steps(sectors, starts)
+    mark = np.zeros(int(sectors.max()) + 1, dtype=bool)
+    mark[sectors] = True
+    per_row = starts.size + np.count_nonzero(within)
+    return int(per_row), int(np.count_nonzero(mark))
+
+
+def _within_row_steps(sectors: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Sector step to each entry from its predecessor, 0 at row starts.
+
+    Has at least one element (a leading 0), so ``min()`` is defined.
+    """
+    steps = np.empty(sectors.size, dtype=np.int64)
+    steps[0] = 0
+    np.subtract(sectors[1:], sectors[:-1], out=steps[1:])
+    steps[starts] = 0
+    return steps
+
+
+def cached_sector_counts(csr, value_bytes: int) -> tuple[int, int]:
+    """:func:`sector_counts`, computed once per CSR structure.
+
+    The counts depend only on ``indptr`` / ``indices``, so they live in
+    :attr:`CSRMatrix.structure_memo <repro.formats.CSRMatrix.structure_memo>`:
+    every cost query on a plan, on its value-patched versions and by the
+    baselines over the same CSR pays the pass once.  Two threads missing
+    together both run the pass and store equal tuples.
+    """
+    key = ("sector_counts", int(value_bytes))
+    got = csr.structure_memo.get(key)
+    if got is None:
+        got = csr.structure_memo[key] = sector_counts(csr, value_bytes)
+    return got
 
 
 def x_traffic_bytes(csr, value_bytes: int, device: DeviceSpec,
@@ -63,7 +109,7 @@ def x_traffic_bytes(csr, value_bytes: int, device: DeviceSpec,
     from .device import get_device
 
     device = get_device(device)
-    per_row, uniq = sector_counts(csr, value_bytes)
+    per_row, uniq = cached_sector_counts(csr, value_bytes)
     if uniq == 0:
         return 0.0
     touched_bytes = uniq * SECTOR_BYTES
@@ -102,7 +148,7 @@ def rhs_block_traffic_factor(csr, value_bytes: int, k: int) -> float:
     """
     if k <= 1:
         return 1.0
-    per_row, _ = sector_counts(csr, value_bytes)
+    per_row, _ = cached_sector_counts(csr, value_bytes)
     if per_row == 0:
         return 1.0
     occupancy = csr.nnz / per_row

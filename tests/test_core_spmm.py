@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from repro._util import ValidationError
-from repro.core import DASPMatrix, dasp_spmm, mma_utilization, spmm_events
+from repro.core import (DASPMatrix, DASPMethod, dasp_spmm, mma_utilization,
+                        spmm_events)
 from repro.gpu import A100, estimate_time
+from repro.matrices import representative_suite
 from tests.conftest import ROW_PROFILES, random_csr
 
 
@@ -95,6 +97,27 @@ class TestUtilization:
                          row_len_sampler=lambda r, m: np.full(m, 64))
         dasp = DASPMatrix.from_csr(csr)
         assert mma_utilization(dasp, 9) < mma_utilization(dasp, 8)
+
+    def test_plan_block_count_pinned_to_events_on_suite(self):
+        """The plan's device-independent MMA block count gives bit for
+        bit the utilization derived from a full ``DASPMethod`` events
+        pass."""
+        def via_events(dasp, k):
+            s = dasp.mma_shape
+            ev = DASPMethod().events(dasp, "A100")
+            if ev.mma_count == 0:
+                return 0.0
+            issued = ev.mma_count * (-(-k // s.n)) * s.flops
+            mma_nnz = (dasp.nnz - dasp.medium_plan.irreg_nnz
+                       - dasp.short_plan.rows1.size)
+            return float(2.0 * mma_nnz * k / issued)
+
+        for entry in representative_suite():
+            dasp = DASPMatrix.from_csr(entry.matrix())
+            assert dasp.mma_blocks == DASPMethod().events(dasp, "H800").mma_count
+            for k in (1, 3, 8, 9, 32):
+                assert mma_utilization(dasp, k) == via_events(dasp, k), \
+                    (entry.name, k)
 
 
 class TestEvents:

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.formats import CSRMatrix
 from repro.gpu import A100, effective_bandwidth, sector_counts, x_traffic_bytes
+from repro.matrices import representative_suite
 from tests.conftest import random_csr
 
 
@@ -42,6 +45,51 @@ class TestSectorCounts:
 
     def test_empty(self):
         assert sector_counts(CSRMatrix.empty((3, 3)), 8) == (0, 0)
+
+
+def unique_sector_counts(csr, value_bytes):
+    """Reference: the counts by hashing (row, sector) keys with np.unique."""
+    elems_per_sector = max(1, 32 // value_bytes)
+    if csr.nnz == 0:
+        return 0, 0
+    sectors = csr.indices.astype(np.int64) // elems_per_sector
+    rows = np.repeat(np.arange(csr.shape[0], dtype=np.int64), csr.row_lengths())
+    keys = rows * (int(sectors.max()) + 2) + sectors
+    return int(np.unique(keys).size), int(np.unique(sectors).size)
+
+
+@st.composite
+def structures(draw):
+    """CSR structures with empty rows, duplicate and unsorted columns,
+    nnz = 0, a single row and rectangular shapes."""
+    m = draw(st.integers(1, 12))
+    n = draw(st.integers(1, 300))
+    rows = draw(st.lists(st.lists(st.integers(0, n - 1), max_size=40),
+                         min_size=m, max_size=m))
+    if draw(st.booleans()):
+        rows = [sorted(r) for r in rows]
+    indptr = np.cumsum([0] + [len(r) for r in rows])
+    indices = np.asarray([c for r in rows for c in r], dtype=np.int64)
+    return CSRMatrix((m, n), indptr, indices, np.ones(indices.size))
+
+
+class TestSectorCountsDifferential:
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(structures(), st.sampled_from([2, 4, 8]))
+    def test_matches_unique_reference(self, csr, vb):
+        assert sector_counts(csr, vb) == unique_sector_counts(csr, vb)
+
+    def test_unsorted_row_among_sorted(self):
+        csr = csr_with_cols([[0, 4, 8], [9, 1, 9, 0], [], [2, 3]], 12)
+        assert sector_counts(csr, 8) == unique_sector_counts(csr, 8) == (6, 3)
+
+    def test_representative_suite_exact(self):
+        for entry in representative_suite():
+            csr = entry.matrix()
+            for vb in (2, 4, 8):
+                assert sector_counts(csr, vb) == \
+                    unique_sector_counts(csr, vb), (entry.name, vb)
 
 
 class TestXTraffic:
