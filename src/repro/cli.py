@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -64,14 +63,6 @@ from .matrices import (
     row_length_stats,
     synthetic_collection,
 )
-
-
-def _load_matrix(spec: str):
-    """Deprecated shim — use :func:`repro.matrices.load` instead."""
-    warnings.warn(
-        "repro.cli._load_matrix is deprecated; use repro.matrices.load",
-        DeprecationWarning, stacklevel=2)
-    return load_matrix(spec)
 
 
 def cmd_list(_args) -> int:

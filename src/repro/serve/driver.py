@@ -6,7 +6,7 @@ configured offered rate, matrix popularity drawn from a Zipf
 distribution over the representative suite, a single modeled device
 executing flushed batches in FIFO order, and a bounded device backlog
 applying backpressure.  Every batch is charged its modeled device time
-(:func:`repro.core.spmm.spmm_events` through the cost model), cache
+(:class:`~repro.serve.policy.ModeledDevice`), cache
 misses additionally pay the modeled preprocessing cost (Figure 13), and
 per-request latency is ``completion - arrival`` in virtual seconds.
 
@@ -20,9 +20,10 @@ requests past their deadline fail fast and are counted.
 
 Being single-threaded and clocked virtually, the driver is exactly
 reproducible for a given seed — the property the serving benchmarks
-rely on — while exercising the same :class:`RequestBatcher`,
-:class:`PlanRegistry`, breaker, retry and fallback code the
-real-threaded server runs.
+rely on — while every serving decision (shards, plan acquisition,
+pricing, retry and degradation) comes from the same
+:class:`~repro.serve.policy.ReplicaPolicy` the real-threaded server
+runs.
 
 The per-replica simulation state (device clock, backlog, batcher, plan
 registry, breaker, stats) lives in :class:`ReplicaSim` so that
@@ -42,34 +43,21 @@ import numpy as np
 from .._util import ReproError, check, default_rng
 from ..core.delta import apply_delta_to_csr, random_delta
 from ..core.format import DASPMatrix
-from ..core.preprocess import traced_preprocess
-from ..core.spmm import mma_phase_fraction, mma_utilization, spmm_events
-from ..gpu.cost_model import estimate_time
+# The cost-model entry points stay importable here by name (traced
+# benchmark runs patch them); batch pricing itself lives in `.policy`.
+from ..core.spmm import mma_utilization, spmm_events  # noqa: F401
+from ..gpu.cost_model import estimate_time  # noqa: F401
 from ..gpu.device import get_device
 from ..obs import Obs
 from ..resilience import (
     BreakerConfig,
     CircuitBreaker,
-    FallbackExecutor,
     FaultInjector,
     FaultPlan,
     FaultRule,
     KernelFault,
     NumericFault,
     RetryPolicy,
-)
-from ..shard import (
-    ShardedPlan,
-    choose_shards,
-    sharded_batch_cost,
-    sharded_phase_fraction,
-    sharded_spmm_events,
-    traced_preprocess_sharded,
-)
-from ..core.spmm_block import (
-    choose_spmm_strategy,
-    reorder_from_perm,
-    spmm_tiled_overlap_cost,
 )
 from ..pipeline import (
     PipelineConfig,
@@ -80,6 +68,7 @@ from ..pipeline import (
 )
 from .batcher import Batch, DEFAULT_FLUSH_TIMEOUT_S, MMA_N, RequestBatcher
 from .plan_cache import DEFAULT_BUDGET_BYTES, PlanRegistry, matrix_fingerprint
+from .policy import ModeledDevice, ReplicaPolicy
 from .request import SpMMRequest, SpMVRequest
 from .stats import ServerStats
 
@@ -251,15 +240,13 @@ def _resolve_warmer(cfg: WorkloadConfig) -> WarmerConfig | None:
     return WarmerConfig() if cfg.warmer else None
 
 
-def _modeled_for(cfg: WorkloadConfig, device, dtype) -> "_ModeledDevice":
-    """The run's memoized device model, with pipeline pricing switched
-    on only when the workload can exercise it (strategy-priced large-k
-    batches change modeled times, so pre-mix runs must not see them)."""
+def _modeled_for(cfg: WorkloadConfig, device, dtype) -> ModeledDevice:
+    """The run's memoized device model (double-buffered pricing in
+    pipeline mode)."""
     pcfg = _resolve_pipeline(cfg)
-    return _ModeledDevice(
+    return ModeledDevice(
         device, np.dtype(dtype).itemsize * 8, workers=cfg.shard_workers,
-        double_buffer=pcfg.double_buffer if pcfg is not None else False,
-        strategy_large_k=pcfg is not None or cfg.spmm_mix > 0.0)
+        double_buffer=pcfg.double_buffer if pcfg is not None else False)
 
 
 def _matrix_pool(cfg: WorkloadConfig):
@@ -294,111 +281,15 @@ def _build_injector(cfg: WorkloadConfig, pool) -> FaultInjector | None:
     return FaultInjector(plan)
 
 
-class _ModeledDevice:
-    """Lazily-memoized modeled batch times for (matrix, k) pairs.
-
-    A :class:`~repro.shard.ShardedPlan` entry is charged the LPT
-    makespan of its per-shard times over ``workers`` lanes (the fan-out
-    the real-threaded server performs), with the shards' events combined
-    for span attributes.
-
-    ``double_buffer`` prices shard bands (and large-k column tiles)
-    with the overlapped schedule of :func:`repro.core.overlap_schedule`
-    — the pipeline mode's clock.  ``strategy_large_k`` prices
-    ``k > MMA_N`` unsharded batches with the tuner-chosen large-k
-    strategy (what the real server executes) instead of the flat
-    ``spmm_events`` pass; it is enabled only when the workload
-    actually produces large-k traffic so pre-mix runs stay bit-exact.
-    """
-
-    def __init__(self, device, dtype_bits: int, *, workers: int = 1,
-                 double_buffer: bool = False,
-                 strategy_large_k: bool = False) -> None:
-        self.device = device
-        self.dtype_bits = dtype_bits
-        self.workers = int(workers)
-        self.double_buffer = bool(double_buffer)
-        self.strategy_large_k = bool(strategy_large_k)
-        #: fingerprint -> ReorderResult rebuilt from a stored ``aux.``
-        #: permutation (fed by the warmer; consulted by the tuner).
-        self.reorder_hints: dict[str, object] = {}
-        self._times: dict[tuple[str, int], tuple] = {}
-        self._frac: dict[str, float] = {}
-        self._strategies: dict[tuple[str, int], object] = {}
-
-    def strategy(self, fingerprint: str, plan, k: int):
-        """Memoized tuner choice for one unsharded (matrix, k) pair."""
-        key = (fingerprint, k)
-        strat = self._strategies.get(key)
-        if strat is None:
-            hint = self.reorder_hints.get(fingerprint)
-            strat = choose_spmm_strategy(plan, k, self.device,
-                                         reorder_hint=hint)
-            self._strategies[key] = strat
-        return strat
-
-    def _entry(self, fingerprint: str, plan, k: int) -> tuple:
-        key = (fingerprint, k)
-        got = self._times.get(key)
-        if got is None:
-            if isinstance(plan, ShardedPlan):
-                cost = sharded_batch_cost(plan, self.device, k,
-                                          workers=self.workers,
-                                          dtype_bits=self.dtype_bits,
-                                          double_buffer=self.double_buffer)
-                evs = sharded_spmm_events(plan, self.device, k)
-                combined = evs[0]
-                for e in evs[1:]:
-                    combined = combined.combine(e)
-                got = (cost.makespan, cost.useful_mma, cost.issued_mma,
-                       combined)
-            elif self.strategy_large_k and k > plan.mma_shape.n:
-                strat = self.strategy(fingerprint, plan, k)
-                t = strat.modeled_s
-                if self.double_buffer and strat.name != "looped":
-                    _, t = spmm_tiled_overlap_cost(
-                        plan, self.device, k, tile_k=strat.tile_k,
-                        stats=strat.stats, dtype_bits=self.dtype_bits)
-                ev = spmm_events(plan, self.device, k)
-                util = mma_utilization(plan, k)
-                got = (t, util * ev.flops_mma, ev.flops_mma, ev)
-            else:
-                ev = spmm_events(plan, self.device, k)
-                t = estimate_time(ev, self.device,
-                                  dtype_bits=self.dtype_bits).total
-                util = mma_utilization(plan, k)
-                got = (t, util * ev.flops_mma, ev.flops_mma, ev)
-            self._times[key] = got
-        return got
-
-    def batch_cost(self, fingerprint: str, plan,
-                   k: int) -> tuple[float, float, float]:
-        """(device seconds, useful MMA flops, issued MMA flops)."""
-        return self._entry(fingerprint, plan, k)[:3]
-
-    def events(self, fingerprint: str, plan, k: int):
-        """The memoized :class:`KernelEvents` behind :meth:`batch_cost`."""
-        return self._entry(fingerprint, plan, k)[3]
-
-    def phase_fraction(self, fingerprint: str, plan) -> float:
-        """Memoized phase split for span attribution."""
-        frac = self._frac.get(fingerprint)
-        if frac is None:
-            frac = (sharded_phase_fraction(plan)
-                    if isinstance(plan, ShardedPlan)
-                    else mma_phase_fraction(plan))
-            self._frac[fingerprint] = frac
-        return frac
-
-
 class ReplicaSim:
     """One modeled serving replica in virtual time.
 
-    Owns everything the single-replica driver used to keep in closures:
-    the modeled device clock (``device_free``), the bounded backlog, a
+    The virtual-clock adapter over
+    :class:`~repro.serve.policy.ReplicaPolicy`: it owns the modeled
+    device clock (``device_free``), the bounded backlog, a
     :class:`RequestBatcher`, a :class:`PlanRegistry` (optionally backed
-    by a :class:`repro.store.PlanStore`), a :class:`CircuitBreaker`, a
-    :class:`FallbackExecutor` and the per-replica :class:`ServerStats`.
+    by a :class:`repro.store.PlanStore`), the prefetch lane and the
+    per-replica :class:`ServerStats`; the policy makes every decision.
 
     :func:`run_workload` drives exactly one instance; the cluster
     driver drives N of them behind a consistent-hash router, each with
@@ -424,8 +315,8 @@ class ReplicaSim:
         Retry-jitter RNG stream; *shared* across the run's replicas so
         the N=1 cluster draws exactly the single-driver sequence.
     modeled:
-        Memoized :class:`_ModeledDevice`; shareable across replicas
-        (plan costs are deterministic per fingerprint).
+        Memoized :class:`~repro.serve.policy.ModeledDevice`; shareable
+        across replicas (plan costs are deterministic per fingerprint).
     store:
         Optional disk tier for this replica's plan registry (a
         :class:`repro.store.PlanStore` or a path-like; replicas of one
@@ -450,7 +341,7 @@ class ReplicaSim:
 
     def __init__(self, cfg: WorkloadConfig, *, device, dtype, pool,
                  obs: Obs | None = None, injector=None, retry_rng=None,
-                 modeled: _ModeledDevice | None = None, store=None,
+                 modeled: ModeledDevice | None = None, store=None,
                  replica_id: str = "r0",
                  materialize_results: bool = True,
                  time_scale: float = 1.0,
@@ -475,17 +366,21 @@ class ReplicaSim:
             else _modeled_for(cfg, device, dtype)
         self.stats = ServerStats(device=device.name, dtype=str(dtype), obs=obs)
         self.breaker = CircuitBreaker(cfg.breaker, obs=obs)
-        self.fallback = FallbackExecutor(device)
-        self.retry_rng = retry_rng if retry_rng is not None \
-            else default_rng(cfg.seed + 1)
-        self.csr_by_fp = {fp: csr for _, fp, csr in pool}
-        check(time_scale > 0.0, "time_scale must be > 0")
-        self.time_scale = float(time_scale)
         self.overload = overload
+        self.policy = ReplicaPolicy(
+            device=device, registry=self.registry, stats=self.stats, obs=obs,
+            pricer=self.modeled, retry=cfg.retry,
+            retry_rng=(retry_rng if retry_rng is not None
+                       else default_rng(cfg.seed + 1)),
+            breaker=self.breaker, injector=injector,
+            retry_budget=(overload.retry_budget if overload is not None
+                          else None),
+            fallback=cfg.fallback, shards=cfg.shards, max_batch=cfg.max_batch,
+            time_scale=time_scale, recoverable=ReproError)
+        self.csr_by_fp = {fp: csr for _, fp, csr in pool}
         self.device_free = 0.0      # when the modeled device next idles
         self.backlog: deque = deque()  # flushed batches awaiting the device
         self.completed: list[SpMVRequest] = []
-        self._shard_choice: dict[str, int] = {}
         # --- async pipeline / speculative warming state ---------------
         self.pipeline_cfg = _resolve_pipeline(cfg)
         warmer_cfg = _resolve_warmer(cfg)
@@ -510,13 +405,6 @@ class ReplicaSim:
         self._prefetching: dict[str, float] = {}
         self._parked: list[tuple[float, int, Batch]] = []
         self._park_seq = 0
-
-    def _scaled(self, seconds: float) -> float:
-        """Apply the slow-replica time multiplier (identity at 1.0 —
-        not even a float multiply, so default runs stay bit-exact)."""
-        if self.time_scale == 1.0:
-            return seconds
-        return seconds * self.time_scale
 
     # ------------------------------------------------------------------
     # signals (consumed by the cluster health monitor)
@@ -552,8 +440,8 @@ class ReplicaSim:
         """Warm-start entry point (startup preload, router warm-up,
         post-rebalance re-warm).  With the speculative warmer enabled
         the warm rides its machinery — the modeled load-vs-rebuild
-        gate, lane-charged acquisition, persisted ``aux.`` reorder
-        permutations; otherwise it is the legacy store-only preload."""
+        gate and lane-charged acquisition; otherwise it is the legacy
+        store-only preload."""
         if self._warmer is None or self._lane is None:
             self.warm(fingerprints)
             return
@@ -563,19 +451,6 @@ class ReplicaSim:
                 continue
             self._speculative_warm(fp, now)
 
-    def _load_reorder_hint(self, fp: str, plan) -> None:
-        """Stash a stored ``spmm.reorder_perm`` as the tuner's hint so
-        the large-k tier never re-derives a persisted decision."""
-        if isinstance(plan, ShardedPlan) or fp in self.modeled.reorder_hints:
-            return
-        aux = self.registry.load_aux(fp)
-        if not aux or "spmm.reorder_perm" not in aux:
-            return
-        perm = np.asarray(aux["spmm.reorder_perm"])
-        self.modeled.reorder_hints[fp] = reorder_from_perm(
-            plan.csr, perm, mma_shape=plan.mma_shape)
-        self.obs.counter("spmm.reorder.loaded_total").inc()
-
     def _start_prefetch(self, fp: str, now: float) -> None:
         """Acquire *fp*'s plan off the device clock (pipeline mode).
 
@@ -583,30 +458,16 @@ class ReplicaSim:
         the registry's single-flight; its modeled cost is booked on the
         prefetch lane, and batches needing the plan park until the
         lane's completion time."""
-        pre_cell: dict[str, float] = {}
-
-        def build(matrix):
-            plan, pre = self._build_plan(fp, matrix)
-            pre_cell["s"] = pre
-            return plan
-
         try:
-            plan, source, load_s = self.registry.get_ex(
-                self.csr_by_fp[fp], fingerprint=fp, builder=build)
+            _, source, cost = self.policy.acquire(fp, self.csr_by_fp[fp])
         except ReproError:
             # a failed speculative acquisition must not take traffic
             # down; the demand path retries (and pays) later
             self.obs.counter("pipeline.warm_failed_total").inc()
             return
-        if source == "built":
-            cost, kind = self._scaled(pre_cell.get("s", 0.0)), "build"
-        elif source == "store":
-            cost, kind = self._scaled(load_s), "load"
-            self._load_reorder_hint(fp, plan)
-        else:                       # already resident (or pending)
+        if source == "ram":             # already resident (or pending)
             return
-        if cost:
-            self.stats.observe_preprocess(cost)
+        kind = "build" if source == "built" else "load"
         self._prefetching[fp] = self._lane.schedule(now, cost, kind=kind)
 
     def _speculative_warm(self, fp: str, now: float) -> None:
@@ -619,10 +480,9 @@ class ReplicaSim:
             if load_s is None:      # quarantined/corrupt: rebuild
                 self._start_prefetch(fp, now)
                 return
-            cost = self._scaled(load_s)
+            cost = self.policy.scale(load_s)
             if cost:
                 self.stats.observe_preprocess(cost)
-            self._load_reorder_hint(fp, self.registry.peek(fp))
             self.obs.counter("pipeline.warm_load_total").inc()
             self._prefetching[fp] = self._lane.schedule(now, cost,
                                                         kind="warm.load")
@@ -666,77 +526,20 @@ class ReplicaSim:
             batch.formed_s = max(batch.formed_s, ready)
             self.backlog.append(batch)
 
-    def _shards_for(self, fp: str, csr) -> int:
-        """Resolve the shard count for one matrix (memoized for auto)."""
-        cfg = self.cfg
-        if cfg.shards in (None, 1):
-            return 1
-        if cfg.shards == "auto":
-            S = self._shard_choice.get(fp)
-            if S is None:
-                # Offline model sweep; the winning plan is built — and
-                # charged — through the traced path in ``_build_plan``.
-                S = int(choose_shards(csr, cfg.shard_workers,
-                                      device=self.device,
-                                      k=cfg.max_batch).best_value)
-                self._shard_choice[fp] = S
-            return S
-        return int(cfg.shards)
+    def _acquire(self, fp: str, key: str):
+        """The batch's plan, its acquisition charged to the device
+        timeline.  Raises when the plan cannot be had.
 
-    def _build_plan(self, fp: str, csr):
-        S = self._shards_for(fp, csr)
-        if S > 1:
-            return traced_preprocess_sharded(
-                csr, self.device, S, obs=self.obs, injector=self.injector,
-                fingerprint=fp)
-        return traced_preprocess(csr, self.device, obs=self.obs,
-                                 injector=self.injector, fingerprint=fp)
-
-    def _batch_key(self, fp: str, batch) -> str:
-        """Registry/cost key for *batch*: the version its requests were
-        admitted against.  Static runs (version 0, no chain) keep the
-        bare fingerprint so every pre-delta code path — and its memo
-        keys — stays bit-identical."""
-        v = batch.requests[0].version if batch.requests else 0
-        if v == 0 and self.registry.version_of(fp) == 0:
-            return fp
-        return self.registry.versioned_key(fp, v)
-
-    def plan_for(self, fp: str, csr, *, key: str | None = None):
-        """Fetch/build a plan, charging (and possibly failing) the
-        preprocessing pass.  Raises on injected preprocess faults and
-        on plans over the cache budget.
-
-        ``key`` is the (possibly versioned) registry key; the bare
-        *fp* still names the matrix for the injector and traced spans.
-        """
-        pre_cell: dict[str, float] = {}
-
-        def build(matrix):
-            plan, pre = self._build_plan(fp, matrix)
-            pre_cell["s"] = pre
-            return plan
-
+        With ``plan_cache=False`` (the re-preprocessing baseline) the
+        plan is rebuilt — and paid for — on every batch."""
+        csr = self.csr_by_fp[fp]
         if self.cfg.plan_cache:
-            plan, source, load_s = self.registry.get_ex(
-                csr, fingerprint=key if key is not None else fp,
-                builder=build)
-            if source == "built":
-                pre = self._scaled(pre_cell.get("s", 0.0))
-                self.stats.observe_preprocess(pre)
-                self.device_free += pre
-            elif source == "store":
-                # an in-band disk load occupies the serving timeline
-                # just like the rebuild it replaces — at modeled cost
-                load_s = self._scaled(load_s)
-                self.stats.observe_preprocess(load_s)
-                self.device_free += load_s
-            return plan
-        # no-cache baseline: rebuild (and pay for) the plan every batch
-        plan, pre = self._build_plan(fp, csr)
-        pre = self._scaled(pre)
-        self.stats.observe_preprocess(pre)
-        self.device_free += pre
+            plan, _, cost = self.policy.acquire(fp, csr, key)
+        else:
+            plan, cost = self.policy.build(fp, csr)
+            cost = self.policy.scale(cost)
+            self.stats.observe_preprocess(cost)
+        self.device_free += cost
         return plan
 
     # ------------------------------------------------------------------
@@ -773,7 +576,7 @@ class ReplicaSim:
                            if self.tracing else None) as sp:
             version, info, plan = self.registry.update(
                 fp, delta, csr=self.csr_by_fp[fp], persist=persist)
-            patch_s = self._scaled(info.seconds(self.device))
+            patch_s = self.policy.scale(info.seconds(self.device))
             sp.set_device_time(patch_s)
             if self.tracing:
                 sp.set_attr("version", version)
@@ -804,15 +607,10 @@ class ReplicaSim:
         return sum(1 for r in reqs
                    if r.pair is None or r.pair.mark_failed(self._side(r)))
 
-    def _allow_retry(self) -> bool:
-        """Spend a global retry token (always allowed with no budget)."""
-        ctx = self.overload
-        if ctx is None or ctx.retry_budget is None:
-            return True
-        return ctx.retry_budget.try_spend()
-
-    def _finish(self, batch, done: float, t: float, useful: float,
-                issued: float, degraded: bool) -> None:
+    def _complete(self, batch, result, degraded: bool = False) -> None:
+        """Finish *batch* at ``result = (done, seconds, useful,
+        issued)``: resolve hedge pairs and record every winner."""
+        done, t, useful, issued = result
         self.device_free = done
         if self.materialize_results:
             plan_rows = self.csr_by_fp[batch.fingerprint].shape[0]
@@ -843,84 +641,60 @@ class ReplicaSim:
             self.stats.observe_latency(req.latency_s)
             self.completed.append(req)
 
-    def _degrade(self, batch, start: float) -> None:
+    # -- clock hooks of ReplicaPolicy.serve -----------------------------
+    def _clock(self, batch) -> float:
+        return max(self.device_free, batch.formed_s)
+
+    def _degrade(self, batch, key: str, cause: Exception) -> None:
+        """Serve *batch* from the merge-CSR fallback, or fail it when
+        the fallback is off."""
+        if not self.policy.fallback:
+            self.stats.observe_failed(self._terminal_count(batch.requests))
+            return
+        start = self._clock(batch)
         fp = batch.fingerprint
-        with self.obs.span("fallback", attrs={"matrix": fp[:8]}
-                           if self.tracing else None) as sp:
-            # memoized per version key: the merge-CSR cost of an
-            # updated matrix must not reuse the pre-update partition
-            t, pre_s = self.fallback.modeled_cost(self._batch_key(fp, batch),
-                                                  self.csr_by_fp[fp],
-                                                  batch.k)
-            t, pre_s = self._scaled(t), self._scaled(pre_s)
-            sp.set_device_time(t)
-            if pre_s:
-                self.stats.observe_preprocess(pre_s)
-                start += pre_s
-                if self.tracing:
-                    sp.child("preprocess", device_s=pre_s)
-        self._finish(batch, start + t, t, 0.0, 0.0, degraded=True)
+        with self.policy.fallback_span(fp, cause) as sp:
+            t, pre_s = self.policy.charge_fallback(sp, key,
+                                                   self.csr_by_fp[fp], batch.k)
+        self._complete(batch, (start + pre_s + t, t, 0.0, 0.0),
+                       degraded=True)
 
-    def _run_kernel_attempt(self, fp: str, plan, batch, attempt: int,
-                            cost_key: str | None = None):
-        """One modeled kernel attempt inside a ``kernel`` span.
+    def _attempt(self, batch, fp: str, key: str, plan, strategy,
+                 attempt: int):
+        """One modeled kernel attempt inside a ``kernel`` span; the
+        device is busy for its time even when it fails.
 
-        ``cost_key`` keys the memoized device model (a versioned key
-        once the matrix has a delta chain — patched plans must not
-        reuse pre-update modeled times); the bare *fp* still names the
-        matrix for the chaos injector, whose poison rules match bare
-        fingerprints.
-        """
-        cfg, device, dtype = self.cfg, self.device, self.dtype
-        ck = cost_key if cost_key is not None else fp
+        *key* keys the price memo (versioned once the matrix has a
+        delta chain); the bare *fp* names the matrix for the chaos
+        injector, whose poison rules match bare fingerprints."""
+        start = self._clock(batch)
         with self.obs.span("kernel", attrs={"attempt": attempt}
                            if self.tracing else None) as sp:
-            t, useful, issued = self.modeled.batch_cost(ck, plan, batch.k)
-            t = self._scaled(t)
+            t, useful, issued = self.policy.price(key, plan, batch.k)
             fault: Exception | None = None
             extra_s = 0.0
             if self.injector is not None:
                 try:
                     decision = self.injector.check_kernel(fp)
-                    extra_s = self._scaled(decision.latency_s)
+                    extra_s = self.policy.scale(decision.latency_s)
                     if decision.corrupt:
                         fault = NumericFault("injected NaN output")
                 except KernelFault as exc:
                     fault = exc
-            if self.tracing:
-                if fault is not None:
-                    sp.status = "error"
-                    sp.set_attr("fault", type(fault).__name__)
-                else:
-                    # only successful attempts reach the stats counters
-                    total = t + extra_s
-                    if isinstance(plan, ShardedPlan):
-                        # one `shard` span per band; phase children are
-                        # scaled so the attributed sum equals the
-                        # makespan the batch is charged.
-                        sp.set_attr("shards", plan.n_shards)
-                        cost = sharded_batch_cost(
-                            plan, device, batch.k, workers=cfg.shard_workers,
-                            dtype_bits=dtype.itemsize * 8)
-                        scale = (total / cost.serial) if cost.serial else 0.0
-                        for i, band in enumerate(plan.shards):
-                            t_i = cost.per_shard[i]
-                            frac_i = mma_phase_fraction(band.dasp)
-                            ssp = sp.child("shard", attrs={
-                                "shard": i, "modeled_s": t_i})
-                            ssp.child("regular_mma",
-                                      device_s=t_i * scale * frac_i)
-                            ssp.child("irregular_csr",
-                                      device_s=t_i * scale * (1.0 - frac_i))
-                    else:
-                        frac = self.modeled.phase_fraction(ck, plan)
-                        sp.child("regular_mma", device_s=total * frac)
-                        sp.child("irregular_csr",
-                                 device_s=total * (1.0 - frac))
-                    ev = self.modeled.events(ck, plan, batch.k)
-                    for key, value in ev.as_attrs().items():
-                        sp.set_attr(key, value)
-        return t, useful, issued, extra_s, fault
+            if fault is None:
+                self.policy.attribute(sp, key, plan, batch.k, t + extra_s,
+                                      strategy)
+            elif self.tracing:
+                sp.status = "error"
+                sp.set_attr("fault", type(fault).__name__)
+        self.device_free = start + t + extra_s
+        if fault is not None:
+            raise fault
+        return self.device_free, t + extra_s, useful, issued
+
+    def _backoff(self, batch, seconds: float) -> bool:
+        self.device_free += seconds
+        return True
 
     def _run_one(self, batch) -> None:
         """Execute one batch on the modeled device, chaos included."""
@@ -932,7 +706,6 @@ class ReplicaSim:
             self._run_one_inner(batch, fp)
 
     def _run_one_inner(self, batch, fp: str) -> None:
-        cfg = self.cfg
         start = max(self.device_free, batch.formed_s)
         if self.overload is not None:
             # drop copies whose hedge pair the other replica already
@@ -947,63 +720,16 @@ class ReplicaSim:
             batch.requests = live
             if not batch.requests:
                 return
-        if cfg.deadline_s is not None:
+        if self.cfg.deadline_s is not None:
             expired = batch.split_expired(start)
             if expired:
                 self.stats.observe_deadline_exceeded(
                     self._terminal_count(expired))
             if not batch.requests:
                 return
-        if self.injector is not None and not self.breaker.allow(fp, start):
-            if cfg.fallback:
-                self._degrade(batch, start)
-            else:
-                self.stats.observe_failed(
-                    self._terminal_count(batch.requests))
-            return
-        key = self._batch_key(fp, batch)
-        try:
-            plan = self.plan_for(fp, self.csr_by_fp[fp], key=key)
-        except ReproError:
-            if self.injector is not None:
-                self.breaker.record_failure(fp, start)
-            if cfg.fallback:
-                self._degrade(batch, max(self.device_free, start))
-            else:
-                self.stats.observe_failed(
-                    self._terminal_count(batch.requests))
-            return
-        if self.modeled.strategy_large_k and not isinstance(plan, ShardedPlan) \
-                and batch.k > plan.mma_shape.n:
-            strat = self.modeled.strategy(key, plan, batch.k)
-            self.stats.observe_spmm_large(strat.name)
-        for attempt in range(cfg.retry.max_retries + 1):
-            t, useful, issued, extra_s, fault = self._run_kernel_attempt(
-                fp, plan, batch, attempt, cost_key=key)
-            start = max(self.device_free, batch.formed_s)
-            if fault is None:
-                if self.injector is not None:
-                    self.breaker.record_success(fp, start + t + extra_s)
-                self._finish(batch, start + t + extra_s, t + extra_s,
-                             useful, issued, degraded=False)
-                return
-            # failed attempt: the wasted kernel time is still burned
-            self.device_free = start + t + extra_s
-            self.breaker.record_failure(fp, self.device_free)
-            if attempt < cfg.retry.max_retries and self._allow_retry():
-                self.stats.observe_retry()
-                self.device_free += cfg.retry.backoff_s(attempt + 1,
-                                                        self.retry_rng)
-                continue
-            # out of attempts — or the global retry budget is dry, in
-            # which case remaining attempts are skipped and the batch
-            # goes straight to the merge-CSR fallback
-            if cfg.fallback:
-                self._degrade(batch, self.device_free)
-            else:
-                self.stats.observe_failed(
-                    self._terminal_count(batch.requests))
-            return
+        # the version the batch's requests were admitted against
+        key = self.policy.plan_key(fp, batch.requests[0].version)
+        self.policy.serve(self, batch, fp, key)
 
     # ------------------------------------------------------------------
     # virtual-time event loop hooks
@@ -1045,6 +771,7 @@ class ReplicaSim:
         # pin the request to the matrix version current at admission;
         # updates landing while it queues must not change its answer
         req.version = self.registry.version_of(req.fingerprint)
+        self.policy.note_shard_hint(req.fingerprint, req.shards)
         if self._warmer is not None:
             self._warmer.observe(req.fingerprint)
             self._warm_tick(now)
@@ -1092,7 +819,7 @@ class ReplicaSim:
         return end
 
 
-def auto_rate(pool, modeled: _ModeledDevice, *, replicas: int = 1) -> float:
+def auto_rate(pool, modeled: ModeledDevice, *, replicas: int = 1) -> float:
     """Saturating default offered rate: 4x the unbatched modeled
     capacity of the most popular matrix per replica (open-loop overload
     is the regime where batching pays; an idle server degenerates to

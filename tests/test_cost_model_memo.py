@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import repro.gpu.memory as memory
-import repro.serve.server as server_mod
+import repro.serve.policy as policy_mod
 from repro.baselines import all_method_names, make_method
 from repro.core import (
     DASPMatrix,
@@ -181,15 +181,16 @@ class TestConcurrentPricing:
     def test_two_workers_price_identically(self, matrix, rng, monkeypatch):
         """Batches of one matrix never run concurrently, so two matrices
         over one structure (one structure memo) are served; both
-        workers enter ``spmm_events`` together on a cold memo, and every
-        batch is priced with the same bits as a serial pass on an
-        independent copy."""
+        workers enter ``spmm_events`` together on a cold memo, each
+        (matrix, k) is priced once, and every batch is charged the same
+        bits as a serial pass on an independent copy."""
         barrier = threading.Barrier(2, timeout=10)
         lock = threading.Lock()
         entered = []
         priced = []
-        real_events, real_estimate = server_mod.spmm_events, \
-            server_mod.estimate_time
+        charged = []
+        real_events, real_estimate = policy_mod.spmm_events, \
+            policy_mod.estimate_time
 
         def racing_events(plan, device, k):
             with lock:
@@ -205,11 +206,20 @@ class TestConcurrentPricing:
                 priced.append((ev, t.total))
             return t
 
-        monkeypatch.setattr(server_mod, "spmm_events", racing_events)
-        monkeypatch.setattr(server_mod, "estimate_time", recording_estimate)
+        monkeypatch.setattr(policy_mod, "spmm_events", racing_events)
+        monkeypatch.setattr(policy_mod, "estimate_time", recording_estimate)
         a = copied(matrix)
         b = a.with_data(2.0 * a.data)
         with SpMVServer(max_batch=1, workers=2) as server:
+            observe_batch = server.stats.observe_batch
+
+            def recording_batch(k, device_s, **kw):
+                with lock:
+                    charged.append(device_s)
+                observe_batch(k, device_s, **kw)
+
+            monkeypatch.setattr(server.stats, "observe_batch",
+                                recording_batch)
             fps = [server.register(a), server.register(b)]
             futs = [server.submit(SpMVRequest(
                         fps[i % 2], rng.standard_normal(a.shape[1])))
@@ -219,9 +229,10 @@ class TestConcurrentPricing:
         assert len(set(entered[:2])) == 2
         ref_ev = spmm_events(DASPMatrix.from_csr(copied(matrix)), A100, 1)
         ref_t = real_estimate(ref_ev, A100, dtype_bits=64).total
-        assert len(priced) == len(futs)
+        assert len(priced) == len(fps)
         for ev, t in priced:
             assert ev == ref_ev and t == ref_t
+        assert charged == [ref_t] * len(futs)
 
     def test_stress_cold_memos(self, matrix):
         """More threads than cores price one cold plan under a short

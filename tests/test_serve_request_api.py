@@ -1,9 +1,9 @@
 """Tests for the unified typed request API (`repro.serve.request`).
 
 Covers the api_redesign contract: `SpMVRequest` / `SpMMRequest` objects
-accepted by both `SpMVServer.submit` and `Router.submit`, the
-deprecated positional form routing identically one release behind a
-`DeprecationWarning`, SpMM end-to-end through server and router, and
+accepted by both `SpMVServer.submit` and `Router.submit`, the removed
+positional `submit(fingerprint, x)` form being rejected, SpMM
+end-to-end through server and router, and
 the k=1-through-the-SpMM-path regression (events parity and serving
 behavior unchanged).
 """
@@ -13,6 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
+from repro._util import ValidationError
 from repro.cluster import Router
 from repro.core import DASPMatrix, DASPMethod
 from repro.core.spmm import spmm_events
@@ -57,36 +58,20 @@ class TestRequestObjects:
 
 
 class TestDeprecatedPositionalForm:
-    def test_server_warns_and_routes_identically(self, server, rng):
-        csr = random_csr(30, 40, rng)
+    def test_positional_form_rejected(self, server, rng):
+        csr = random_csr(24, 24, rng)
         fp = server.register(csr)
-        x = rng.uniform(-1, 1, 40)
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            old = server.submit(fp, x)
-        new = server.submit(SpMVRequest(fp, x))
-        server.flush()
-        assert np.array_equal(old.result(5.0), new.result(5.0))
-
-    def test_server_deadline_s_maps_to_deadline_us(self, server, rng):
-        csr = random_csr(10, 12, rng)
-        fp = server.register(csr)
-        with pytest.warns(DeprecationWarning):
-            fut = server.submit(fp, rng.uniform(-1, 1, 12), deadline_s=10.0)
-        server.flush()
-        assert fut.result(5.0).shape == (10,)
-
-    def test_router_warns_and_routes_identically(self, rng):
-        servers = [SpMVServer(workers=1, queue_depth=16) for _ in range(2)]
-        with Router(servers, seed=1) as router:
-            csr = random_csr(24, 24, rng)
-            fp = router.register(csr)
-            x = rng.uniform(-1, 1, 24)
-            with pytest.warns(DeprecationWarning, match="deprecated"):
-                old = router.submit(fp, x)
-            new = router.submit(SpMVRequest(fp, x))
-            for s in router.servers.values():
-                s.flush()
-            assert np.array_equal(old.result(10.0), new.result(10.0))
+        x = rng.uniform(-1, 1, 24)
+        with pytest.raises(TypeError):
+            server.submit(fp, x)
+        with pytest.raises(ValidationError):
+            server.submit(fp)
+        with Router([SpMVServer(workers=1)], seed=1) as router:
+            router.register(csr)
+            with pytest.raises(TypeError):
+                router.submit(fp, x)
+            with pytest.raises(ValidationError):
+                router.submit(fp)
 
     def test_new_form_rejects_extra_positional_kwargs(self, server, rng):
         csr = random_csr(10, 12, rng)
