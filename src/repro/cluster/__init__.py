@@ -2,18 +2,20 @@
 
 The scale-out layer over :mod:`repro.serve`: a consistent-hash ring
 (:class:`HashRing`) places matrix fingerprints onto replicas with
-virtual nodes and a seeded stable hash, a :class:`Router` fronts real
-:class:`~repro.serve.SpMVServer` replicas with cache-affine placement
-and health-aware failover, :class:`ReplicaHealth` filters raw replica
-signals (queue depth, open breakers, deadline-miss rate) through
-hysteresis so routing doesn't flap, and
-:func:`run_cluster_workload` replays the deterministic virtual-time
-Poisson/Zipf workload over N simulated replicas — bit-identical to the
-single-replica driver at N=1, linear modeled throughput as N grows,
-and failover under injected replica failure.
+virtual nodes and a seeded stable hash, :class:`ReplicaHealth` filters
+raw replica signals (queue depth, open breakers, deadline-miss rate)
+through hysteresis so routing doesn't flap, and one
+:class:`~repro.cluster.policy.RoutingPolicy` makes every routing
+decision (preference walk, placement, hedging, probe folding) for two
+clocks: a :class:`Router` fronting real
+:class:`~repro.serve.SpMVServer` replicas, and
+:func:`run_cluster_workload`, which replays the deterministic
+virtual-time Poisson/Zipf workload over N simulated replicas —
+bit-identical to the single-replica driver at N=1, linear modeled
+throughput as N grows, and failover under injected replica failure.
 
-See ``docs/DESIGN.md`` ("Cluster placement, health and failover") for
-the design rationale.
+See DESIGN.md ("Cluster placement, health and failover" and "One
+policy, two clocks") for the design rationale.
 """
 
 from .driver import (

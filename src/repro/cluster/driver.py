@@ -39,13 +39,7 @@ from .._util import check, default_rng
 from ..core.delta import random_delta
 from ..gpu.device import get_device
 from ..obs import Obs
-from ..overload import (
-    PRIORITIES,
-    HedgePair,
-    LatencyTracker,
-    OverloadConfig,
-    OverloadContext,
-)
+from ..overload import PRIORITIES, HedgePair, OverloadConfig
 from ..resilience import FaultInjector, FaultPlan, FaultRule
 from ..serve.batcher import SpMVRequest
 from ..serve.driver import (
@@ -58,8 +52,9 @@ from ..serve.driver import (
     zipf_weights,
 )
 from ..serve.stats import ServerStats
-from .health import HealthConfig, ReplicaHealth, ReplicaSignals
-from .ring import DEFAULT_VNODES, HashRing
+from .health import HealthConfig
+from .policy import RoutingPolicy
+from .ring import DEFAULT_VNODES
 
 
 @dataclass(frozen=True)
@@ -118,9 +113,9 @@ class ClusterConfig(WorkloadConfig):
         admission control (shed at the router before any replica sees
         the request, batch priority first), a cluster-wide retry
         budget shared by every replica, and hedged requests (a shadow
-        copy to the next preference replica when the primary's latency
-        EWMA marks it a straggler; first completion wins).  ``None``
-        keeps the run bit-identical to a pre-overload driver.
+        copy to the next reachable healthy replica when the primary's
+        latency EWMA marks it a straggler; first completion wins).
+        ``None`` keeps the run bit-identical to a pre-overload driver.
     slow_replica / slow_factor:
         Chaos scenario: multiply replica ``slow_replica``'s modeled
         device time by ``slow_factor`` — a straggler that stays alive
@@ -161,6 +156,9 @@ class ClusterStats:
     """
 
     replicas: dict[str, ServerStats]
+    #: Routing counters (``cluster.router.*``): requests placed per
+    #: replica (hedge shadows excluded), placements off the ring home,
+    #: and requests no reachable replica accepted.
     routed: dict[str, int]
     n_failover: int = 0
     n_unroutable: int = 0
@@ -175,9 +173,9 @@ class ClusterStats:
     #: Logical (per-request, hedge-shadow-free) accounting added with
     #: the overload layer.  ``n_offered`` is the request count the
     #: workload generated; ``n_shed`` were turned away by admission
-    #: control, ``n_rejected_logical`` by primary-replica backpressure,
-    #: ``n_link_failed`` by a full partition.  Zero-valued and unused
-    #: on pre-overload runs.
+    #: control, ``n_rejected_logical`` by backpressure on every
+    #: reachable replica, ``n_link_failed`` by a full partition.
+    #: Zero-valued and unused on pre-overload runs.
     overload_enabled: bool = False
     n_offered: int = 0
     #: Arrival slots that carried a matrix delta instead of a read
@@ -345,7 +343,9 @@ def _replica_injector(cfg: ClusterConfig, pool, index: int):
 
 
 class _Cluster:
-    """Mutable cluster state the arrival loop and probe loop share."""
+    """Virtual-time adapter over :class:`RoutingPolicy`: the replicas,
+    the partition set, hedge shadows, elastic spawn/drain, the update
+    broadcast and the per-probe latency-slice feed."""
 
     def __init__(self, cfg: ClusterConfig, *, device, dtype, pool,
                  modeled, retry_rng, obs: Obs) -> None:
@@ -356,35 +356,16 @@ class _Cluster:
         self.modeled = modeled
         self.retry_rng = retry_rng
         self.obs = obs
-        self.ring = HashRing(vnodes=cfg.vnodes, seed=cfg.ring_seed)
-        self.health = ReplicaHealth(cfg.health, obs=obs)
-        self.overload = (OverloadContext(cfg.overload, obs=obs)
-                         if cfg.overload is not None else None)
+        self.policy = RoutingPolicy(vnodes=cfg.vnodes, seed=cfg.ring_seed,
+                                    health=cfg.health,
+                                    overload=cfg.overload, obs=obs)
         self.partitioned: set[str] = set()
         self.replicas: dict[str, ReplicaSim] = {}
         self._spawned = 0
-        self._routed = obs.counter("cluster.driver.routed_total")
-        self._failover = obs.counter("cluster.driver.failover_total")
-        self._unroutable = obs.counter("cluster.driver.unroutable_total")
         self._scale_up = obs.counter("cluster.driver.scale_up_total")
         self._scale_down = obs.counter("cluster.driver.scale_down_total")
         self._moved = obs.counter("cluster.driver.moved_fingerprints_total")
-        self._rejected = obs.counter("cluster.overload.rejected_total")
-        self._link_failed = obs.counter("cluster.overload.link_failed_total")
-        # The latency EWMA doubles as hedge trigger and health signal;
-        # only fold samples when something downstream reads them, so a
-        # plain run does zero extra work per probe.
-        self._track_latency = (
-            (self.overload is not None and self.overload.hedge is not None)
-            or cfg.health.straggler_factor is not None
-            or cfg.slow_replica is not None)
-        self.latency = (self.overload.latency
-                        if (self.overload is not None
-                            and self.overload.latency is not None)
-                        else LatencyTracker())
-        # deadline-miss deltas between probes, per replica; plus the
-        # already-folded latency sample count for the EWMA feed
-        self._prev: dict[str, tuple[int, int]] = {}
+        # latency samples already folded into the EWMA, per replica
         self._lat_seen: dict[str, int] = {}
         for _ in range(cfg.n_replicas):
             self.spawn(warm=False)
@@ -394,12 +375,13 @@ class _Cluster:
         """Add one replica; with ``warm``, re-warm the fingerprints the
         rebalanced ring moved onto it from the shared store."""
         cfg = self.cfg
+        ring = self.policy.ring
         index = self._spawned
         rid = f"r{index}"
         self._spawned += 1
         fps = [fp for _, fp, _ in self.pool]
-        before = {fp: self.ring.lookup(fp) for fp in fps} \
-            if (warm and len(self.ring)) else {}
+        before = {fp: ring.lookup(fp) for fp in fps} \
+            if (warm and len(ring)) else {}
         replica_obs = Obs(tracer=self.obs.tracer.bound(replica=rid)
                           if self.obs.tracing else None)
         time_scale = (cfg.slow_factor
@@ -410,7 +392,7 @@ class _Cluster:
             obs=replica_obs, injector=_replica_injector(cfg, self.pool, index),
             retry_rng=self.retry_rng, modeled=self.modeled, store=cfg.store,
             replica_id=rid, materialize_results=False,
-            time_scale=time_scale, overload=self.overload)
+            time_scale=time_scale, overload=self.policy.overload)
         if self.replicas:
             # A replica spawned mid-run must see the *current* matrix
             # state, not the pristine pool: under an update stream the
@@ -419,11 +401,9 @@ class _Cluster:
             src = next(iter(self.replicas.values()))
             replica.csr_by_fp = dict(src.csr_by_fp)
         self.replicas[rid] = replica
-        self.ring.add(rid)
-        self._prev[rid] = (0, 0)
-        self._lat_seen[rid] = 0
+        ring.add(rid)
         if before:
-            moved = [fp for fp in fps if self.ring.lookup(fp) != before[fp]]
+            moved = [fp for fp in fps if ring.lookup(fp) != before[fp]]
             self._moved.inc(len(moved))
             if moved and replica.registry.store is not None:
                 replica.warm_many(moved)
@@ -437,8 +417,8 @@ class _Cluster:
         membership — hence new traffic — changes, and that rebalance
         moves exactly the keys the replica owned.
         """
-        self.ring.remove(rid)
-        self.health.forget(rid)
+        self.policy.ring.remove(rid)
+        self.policy.health.forget(rid)
         # flush its half-formed batches so parked requests complete
         replica = self.replicas[rid]
         replica.enqueue(replica.batcher.flush_all(now))
@@ -446,44 +426,11 @@ class _Cluster:
     # ------------------------------------------------------------------
     def active(self) -> list[str]:
         """Routable replica ids, in spawn order (deterministic)."""
-        return [rid for rid in self.replicas if rid in self.ring]
+        return [rid for rid in self.replicas if rid in self.policy.ring]
 
     def advance_all(self, now: float) -> None:
         for replica in self.replicas.values():
             replica.advance_to(now)
-
-    def route(self, fp: str) -> str | None:
-        """Healthy-first preference walk (ring order breaks ties).
-
-        Partitioned replicas are unreachable and skipped outright;
-        among the healthy, stragglers are demoted behind fast peers
-        (soft drain) before any sick replica is considered.  Returns
-        ``None`` only when every preference sits behind the partition.
-        """
-        prefs = self.ring.preference(fp)
-        reachable = [rid for rid in prefs if rid not in self.partitioned]
-        if not reachable:
-            return None
-        fast = []
-        slow = []
-        for rid in reachable:
-            if self.health.is_healthy(rid):
-                (slow if self.health.is_straggler(rid) else fast).append(rid)
-        if fast:
-            target = fast[0]
-        elif slow:
-            target = slow[0]
-        else:
-            target = reachable[0]  # every replica down: home beats dropping
-            self._unroutable.inc()
-        self._routed.inc()
-        if target != prefs[0]:
-            self._failover.inc()
-        return target
-
-    def offer(self, req: SpMVRequest, now: float, fp: str) -> bool:
-        target = self.route(fp)
-        return target is not None and self.replicas[target].offer(req, now)
 
     def apply_update(self, fp: str, delta, now: float) -> None:
         """Broadcast one matrix delta to every replica.
@@ -492,66 +439,45 @@ class _Cluster:
         including partitioned and draining ones, whose data-plane link
         is what the chaos window cuts — so every version chain stays in
         lockstep and a delta stream drawn against one shared CSR
-        history is valid everywhere.  Only the matrix's *home* replica
-        (first ring preference) persists the delta to the shared store:
-        concurrent writers would trip the store's version-contiguity
-        invariant.
+        history is valid everywhere.  Only the matrix's ring home
+        persists the delta to the shared store: concurrent writers
+        would trip the store's version-contiguity invariant.
         """
-        prefs = self.ring.preference(fp)
-        home = prefs[0] if prefs else None
+        home = self.policy.home(fp)
         for rid, replica in self.replicas.items():
             replica.apply_update(fp, delta, now, persist=(rid == home))
-
-    def _hedge_target(self, fp: str, primary: str) -> str | None:
-        """Next reachable healthy replica after *primary*, or None."""
-        for rid in self.ring.preference(fp):
-            if rid == primary or rid in self.partitioned:
-                continue
-            if self.health.is_healthy(rid):
-                return rid
-        return None
 
     def submit(self, req: SpMVRequest, now: float, fp: str) -> str:
         """Offer one logical request; returns its immediate outcome.
 
         One of ``"shed"`` (admission control turned it away),
         ``"link_failed"`` (every preference replica is partitioned),
-        ``"rejected"`` (primary replica backpressure), or ``"routed"``
-        (accepted — possibly alongside a hedge shadow on a second
-        replica when the primary's latency EWMA marks it a straggler).
+        ``"rejected"`` (every reachable replica refused under
+        backpressure), or ``"routed"`` (accepted — possibly alongside a
+        hedge shadow on a second replica).
         """
-        ctx = self.overload
-        if (ctx is not None and ctx.admission is not None
-                and not ctx.admission.try_admit(req.priority, now)):
+        policy = self.policy
+        if not policy.admit(req.priority, now):
             return "shed"
-        target = self.route(fp)
+        tried: list[str] = []
+
+        def offer(rid: str) -> bool:
+            tried.append(rid)
+            return self.replicas[rid].offer(req, now)
+
+        target = policy.place(fp, offer, self.partitioned)
         if target is None:
-            self._link_failed.inc()
-            return "link_failed"
-        hedge_rid = None
-        if (ctx is not None and ctx.hedge is not None
-                and self.latency.is_straggler(target,
-                                              factor=ctx.hedge.factor)):
-            hedge_rid = self._hedge_target(fp, target)
-        if hedge_rid is None:
-            if self.replicas[target].offer(req, now):
-                return "routed"
-            self._rejected.inc()
-            return "rejected"
-        pair = HedgePair(primary_rid=target, hedge_rid=hedge_rid)
-        req.pair = pair
-        if not self.replicas[target].offer(req, now):
-            req.pair = None
-            self._rejected.inc()
-            return "rejected"
-        shadow = SpMVRequest(
-            req_id=req.req_id, fingerprint=req.fingerprint, x=req.x,
-            arrival_s=req.arrival_s, deadline_s=req.deadline_s,
-            priority=req.priority, pair=pair, shadow=True)
-        if self.replicas[hedge_rid].offer(shadow, now):
-            ctx.hedges_issued.inc()
-        else:
-            req.pair = None  # hedge rejected: back to a plain request
+            return "rejected" if tried else "link_failed"
+        hedge_rid = policy.hedge_target(fp, target, self.partitioned)
+        if hedge_rid is not None:
+            pair = HedgePair(primary_rid=target, hedge_rid=hedge_rid)
+            shadow = SpMVRequest(
+                req_id=req.req_id, fingerprint=req.fingerprint, x=req.x,
+                arrival_s=req.arrival_s, deadline_s=req.deadline_s,
+                priority=req.priority, pair=pair, shadow=True)
+            if self.replicas[hedge_rid].offer(shadow, now):
+                req.pair = pair
+                policy.overload.hedges_issued.inc()
         return "routed"
 
     # ------------------------------------------------------------------
@@ -561,33 +487,23 @@ class _Cluster:
         A partitioned replica's probe fails like its traffic does: the
         monitor sees worst-case unreachable signals until the window
         closes, so every threshold trips and recovery runs through the
-        normal hysteresis.  For the rest, newly completed requests are
-        folded into the per-replica latency EWMA (mean of the fresh
-        slice per probe) that drives straggler demotion and hedging.
+        normal hysteresis.  For the rest, when the policy reads
+        latency, the mean of the requests completed since the last
+        probe is folded into the replica's latency EWMA first.
         """
+        policy = self.policy
         for rid in self.active():
-            replica = self.replicas[rid]
             if rid in self.partitioned:
-                self.health.observe_unreachable(rid)
+                policy.observe(rid, None)
                 continue
-            stats = replica.stats
-            ewma = 0.0
-            if self._track_latency:
-                seen = self._lat_seen[rid]
-                fresh = stats.latencies_s[seen:]
+            replica = self.replicas[rid]
+            if policy.track_latency:
+                seen = self._lat_seen.get(rid, 0)
+                fresh = replica.stats.latencies_s[seen:]
                 if fresh:
                     self._lat_seen[rid] = seen + len(fresh)
-                    self.latency.observe(rid, sum(fresh) / len(fresh))
-                ewma = self.latency.ewma(rid)
-            prev_miss, prev_req = self._prev[rid]
-            d_req = stats.n_requests - prev_req
-            d_miss = stats.n_deadline_exceeded - prev_miss
-            self._prev[rid] = (stats.n_deadline_exceeded, stats.n_requests)
-            self.health.observe(rid, ReplicaSignals(
-                queue_depth=replica.backlog_depth,
-                open_circuits=replica.open_circuits(),
-                miss_rate=(d_miss / d_req) if d_req > 0 else 0.0,
-                latency_ewma_s=ewma))
+                    policy.latency.observe(rid, sum(fresh) / len(fresh))
+            policy.observe(rid, replica.signals())
 
     def autoscale(self, now: float, last_action: float) -> float:
         """Apply the elastic policy at one probe; returns the new
@@ -615,10 +531,11 @@ def run_cluster_workload(cfg: ClusterConfig, *,
                          obs: Obs | None = None) -> ClusterStats:
     """Simulate *cfg* over N replicas; returns :class:`ClusterStats`.
 
-    ``obs`` carries the cluster-level ``cluster.driver.*`` counters and
-    (optionally) a shared :class:`~repro.obs.Tracer` — each replica
-    then traces through ``tracer.bound(replica=rid)``, so one trace
-    store holds every replica's trees with per-replica attribution
+    ``obs`` carries the cluster-level ``cluster.router.*`` and
+    ``cluster.driver.*`` counters and (optionally) a shared
+    :class:`~repro.obs.Tracer` — each replica then traces through
+    ``tracer.bound(replica=rid)``, so one trace store holds every
+    replica's trees with per-replica attribution
     (``tracer.device_time_by_attr("replica")``).  Per-replica *metrics*
     stay in private registries so gauges never collide.
     """
@@ -654,11 +571,9 @@ def run_cluster_workload(cfg: ClusterConfig, *,
         # fingerprints from the shared store (off the virtual clock).
         # With the speculative warmer on, the ring-scoped warm-up rides
         # the warmer (load-vs-rebuild gate + persisted reorder perms).
-        fps = [fp for _, fp, _ in pool]
-        assigned = cluster.ring.assignments(fps)
+        assigned = cluster.policy.assignments([fp for _, fp, _ in pool])
         for rid in cluster.active():
-            cluster.replicas[rid].warm_many(
-                [fp for fp in fps if fp in set(assigned[rid])])
+            cluster.replicas[rid].warm_many(assigned[rid])
 
     rate = cfg.rate_rps
     if rate is None:
@@ -766,12 +681,12 @@ def run_cluster_workload(cfg: ClusterConfig, *,
     reg = obs.registry
     stats = ClusterStats(
         replicas={rid: r.stats for rid, r in cluster.replicas.items()},
-        routed={rid: r.stats.n_requests
-                for rid, r in cluster.replicas.items()},
-        n_failover=int(reg.counter(
-            "cluster.driver.failover_total").value),
+        routed={rid: int(reg.counter("cluster.router.replica_routed_total",
+                                     {"replica": rid}).value)
+                for rid in cluster.replicas},
+        n_failover=int(reg.counter("cluster.router.failover_total").value),
         n_unroutable=int(reg.counter(
-            "cluster.driver.unroutable_total").value),
+            "cluster.router.unroutable_total").value),
         n_probes=int(reg.counter("cluster.health.probes_total").value),
         n_transitions_down=int(reg.counter(
             "cluster.health.transitions_total", {"to": "down"}).value),
@@ -783,7 +698,7 @@ def run_cluster_workload(cfg: ClusterConfig, *,
             "cluster.driver.scale_down_total").value),
         n_moved_fingerprints=int(reg.counter(
             "cluster.driver.moved_fingerprints_total").value),
-        health=cluster.health.snapshot(),
+        health=cluster.policy.health.snapshot(),
         duration_s=max((r.stats.duration_s
                         for r in cluster.replicas.values()), default=end),
         # Logical accounting is meaningful whenever the submit path can

@@ -35,6 +35,7 @@ import threading
 from dataclasses import dataclass
 
 from .._util import check
+from ..overload.hedge import exceeds_peer_median
 
 
 @dataclass(frozen=True)
@@ -214,15 +215,9 @@ class ReplicaHealth:
             if s is None or not s.healthy:
                 return False
             mine = s.last.latency_ewma_s
-            peers = sorted(t.last.latency_ewma_s
-                           for rid, t in self._states.items()
-                           if rid != replica_id and t.last.latency_ewma_s > 0.0)
-        if mine <= 0.0 or len(peers) < 2:
-            return False
-        mid = len(peers) // 2
-        median = (peers[mid] if len(peers) % 2
-                  else 0.5 * (peers[mid - 1] + peers[mid]))
-        return mine > factor * median
+            peers = [t.last.latency_ewma_s
+                     for rid, t in self._states.items() if rid != replica_id]
+        return exceeds_peer_median(mine, peers, factor)
 
     def stragglers(self) -> list[str]:
         with self._lock:

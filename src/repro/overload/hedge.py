@@ -1,11 +1,13 @@
 """Hedged requests and per-replica latency tracking.
 
-A *hedge* is a second copy of a request issued to a different replica
-when the first is taking suspiciously long — the classic
-tail-tolerance move: the client pays a little extra work to cut the
-latency tail that one slow replica would otherwise impose on every
-request hashed to it.  First result wins; the loser is cancelled (or
-discarded on completion) and counted as wasted work.
+A *hedge* is a second copy of a request, issued to a different replica
+when the one it was placed on is a straggler (its latency EWMA is an
+outlier among its peers') — the classic tail-tolerance move: the
+client pays a little extra work to cut the latency tail that one slow
+replica would otherwise impose on every request hashed to it.  First
+result wins; the loser is cancelled (or discarded on completion) and
+counted as wasted work.  The hedge rule itself lives in
+:class:`repro.cluster.policy.RoutingPolicy`.
 
 Two cooperating pieces live here:
 
@@ -45,28 +47,34 @@ class HedgeConfig:
     Attributes
     ----------
     factor:
-        Straggler threshold: hedge (or demote) a replica whose latency
-        EWMA exceeds ``factor`` times the median of its peers'.
-    delay_factor:
-        Wall-clock hedge timer, as a multiple of the target replica's
-        latency EWMA: the router re-issues after
-        ``max(min_delay_s, delay_factor * ewma)`` with no result.
-    min_delay_s:
-        Floor for the hedge timer so cold EWMAs don't hedge instantly.
+        Straggler threshold: hedge a request placed on a replica whose
+        latency EWMA exceeds ``factor`` times the median of its peers'.
     ewma_alpha:
         Smoothing weight of the newest sample in the EWMA.
     """
 
     factor: float = 3.0
-    delay_factor: float = 2.0
-    min_delay_s: float = 1e-3
     ewma_alpha: float = 0.2
 
     def __post_init__(self) -> None:
         check(self.factor > 1.0, "factor must be > 1")
-        check(self.delay_factor > 0.0, "delay_factor must be > 0")
-        check(self.min_delay_s >= 0.0, "min_delay_s must be >= 0")
         check(0.0 < self.ewma_alpha <= 1.0, "ewma_alpha must be in (0, 1]")
+
+
+def exceeds_peer_median(mine: float, peers, factor: float) -> bool:
+    """True when *mine* exceeds ``factor`` x the median of *peers*.
+
+    Only positive values count (zero means "no data yet"), and it needs
+    at least two positive peers — with fewer there is no population to
+    be an outlier of.
+    """
+    peers = sorted(v for v in peers if v > 0.0)
+    if mine <= 0.0 or len(peers) < 2:
+        return False
+    mid = len(peers) // 2
+    median = (peers[mid] if len(peers) % 2
+              else 0.5 * (peers[mid - 1] + peers[mid]))
+    return mine > factor * median
 
 
 class LatencyTracker:
@@ -101,21 +109,12 @@ class LatencyTracker:
             return dict(self._ewma)
 
     def is_straggler(self, key, *, factor: float) -> bool:
-        """True when *key*'s EWMA exceeds ``factor`` x peer median.
-
-        Needs at least two positive peer EWMAs besides cold zeros —
-        with fewer there is no population to be an outlier of.
-        """
+        """True when *key*'s EWMA exceeds ``factor`` x peer median
+        (:func:`exceeds_peer_median`)."""
         with self._lock:
             mine = self._ewma.get(key, 0.0)
-            peers = sorted(v for k, v in self._ewma.items()
-                           if k != key and v > 0.0)
-        if mine <= 0.0 or len(peers) < 2:
-            return False
-        mid = len(peers) // 2
-        median = (peers[mid] if len(peers) % 2
-                  else 0.5 * (peers[mid - 1] + peers[mid]))
-        return mine > factor * median
+            peers = [v for k, v in self._ewma.items() if k != key]
+        return exceeds_peer_median(mine, peers, factor)
 
 
 class HedgePair:
